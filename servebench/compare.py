@@ -1,6 +1,10 @@
-"""Compare two benchmark records written by ``run.py --record FILE``.
+"""Compare the records of two saved ``run.py`` outputs.
 
-    python3 servebench/compare.py BEFORE.json AFTER.json
+    python3 servebench/run.py --workload museum-browse --seed 1 --seconds 10 > before.txt
+    python3 servebench/run.py --workload museum-browse --seed 1 --seconds 10 > after.txt
+    python3 servebench/compare.py before.txt after.txt
+
+Each output holds one ``record: {...}`` line with the run's full record.
 
 Normalised figures are in reference seconds of one interpreter: the
 reference kernel runs at a different speed under another interpreter, so
@@ -20,11 +24,20 @@ def _interpreter(record: dict) -> tuple[str, str]:
     return info["implementation"], major_minor
 
 
+def read_record(path: str) -> dict:
+    """The ``record:`` line of a saved ``run.py`` output."""
+    with open(path) as output:
+        for line in output:
+            if line.startswith("record: "):
+                return json.loads(line[len("record: ") :])
+    raise SystemExit(f"compare: no record line in {path}")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    before, after = (json.loads(open(path).read()) for path in argv)
+    before, after = (read_record(path) for path in argv)
     for what, key in (
         ("interpreters", _interpreter),
         ("workloads", lambda r: r["workload"]),

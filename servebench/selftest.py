@@ -2,23 +2,27 @@
 
 Run from the root of a checkout::
 
-    python3 servebench/selftest.py [--python python3.13] [--workloads a,b]
+    python3 servebench/selftest.py
+    python3.13 servebench/selftest.py
+
+Every check runs under the interpreter that runs this script, on all
+four mixes.
 
 1. The normaliser: the reference kernel creates no objects the cyclic
    collector tracks, and its duration does not move with a large live
    heap or right after a gen-2 collection.
 2. Determinism: two traced runs with one seed give identical counts, and
    another seed gives another stream.
-3. Span reconciliation: in those traced runs every request's self times
-   sum exactly to its ``respond`` span (``spans_reconciled``), and the
-   trace overhead is reported.
+3. Span checks: in those traced runs every request's spans nest and its
+   self times sum to its ``respond`` span (``spans_reconciled``), and
+   that span agrees with the time the client measured around the request
+   (``spans_match_client``).  The trace overhead is reported.
 
 Exits non-zero when any check fails.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import statistics
@@ -27,6 +31,7 @@ import sys
 from pathlib import Path
 
 import refkernel
+import workloads
 
 HERE = Path(__file__).resolve().parent
 
@@ -115,10 +120,10 @@ def kernel_ignores_heap(rounds: int = 30, per_condition: int = 5) -> bool:
     return ok
 
 
-def traced_run(python: str, workload: str, seed: int) -> dict:
+def traced_run(workload: str, seed: int) -> dict:
     proc = subprocess.run(
         [
-            python,
+            sys.executable,
             str(HERE / "run.py"),
             "--workload", workload,
             "--seed", str(seed),
@@ -137,20 +142,25 @@ def traced_run(python: str, workload: str, seed: int) -> dict:
     return record
 
 
-def deterministic(python: str, workload: str) -> bool:
-    first = traced_run(python, workload, 7)
-    again = traced_run(python, workload, 7)
-    other = traced_run(python, workload, 8)
+def deterministic(workload: str) -> bool:
+    first = traced_run(workload, 7)
+    again = traced_run(workload, 7)
+    other = traced_run(workload, 8)
     same = first["counts"] == again["counts"] and first["stream"] == again["stream"]
     differs = other["stream"] != first["stream"]
-    reconciled = all(r["spans_reconciled"] for r in (first, again, other))
+    reconciled = all(
+        r["spans_reconciled"] and r["spans_match_client"]
+        for r in (first, again, other)
+    )
     clean = all(
         r["result"]["correct"] and r["result"]["failed"] == 0
         for r in (first, again, other)
     )
     print(
         f"  {workload}: same-seed counts equal {same}, other seed differs "
-        f"{differs}, spans reconciled {reconciled}, runs correct {clean}, "
+        f"{differs}, span checks {reconciled} (client gap p50 "
+        f"{first['span_gap_p50_us']:.1f} us, p99 {first['span_gap_p99_us']:.1f} us), "
+        f"runs correct {clean}, "
         f"trace overhead {first['metrics']['trace.overhead_pct']:.1f}%"
     )
     if not same:
@@ -162,20 +172,13 @@ def deterministic(python: str, workload: str) -> bool:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--python", default=sys.executable)
-    parser.add_argument(
-        "--workloads",
-        default="museum-browse,catalog-longtail,reweave-churn,museum-http",
-    )
-    args = parser.parse_args()
     checks = []
     print("normaliser:")
     checks.append(("kernel creates no tracked objects", kernel_tracks_nothing()))
     checks.append(("kernel ignores heap state", kernel_ignores_heap()))
-    print("determinism and span reconciliation:")
-    for workload in args.workloads.split(","):
-        checks.append((f"{workload} deterministic", deterministic(args.python, workload)))
+    print("determinism and span checks:")
+    for workload in workloads.MIXES:
+        checks.append((f"{workload} deterministic", deterministic(workload)))
     failed = [name for name, ok in checks if not ok]
     for name, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}")

@@ -12,8 +12,9 @@ which survives any number of re-weaves.
 Each span records name, start, end, parent and request id in flat
 integer arrays that stay in memory until the run ends.  A layer's *self*
 time is its span's duration minus its children's, so the self times of
-one request add up exactly to its root ``respond`` span; ``run.py``
-checks that for every traced request.
+one request add up exactly to its root ``respond`` span by
+construction.  ``run.py`` checks that the spans nest, and compares each
+root span with the time the client measured around the same request.
 """
 
 from __future__ import annotations

@@ -295,7 +295,7 @@ class ClientModel:
         self.reconfigures = 0
         self.hits_seen = 0
         self.bypass_identical = 0
-        self.bypass_whitespace_only = 0
+        self.bypass_trail_layout = 0
 
     # -- predictions -------------------------------------------------------------
 
@@ -401,5 +401,5 @@ class ClientModel:
             "sessions.evicted": self.evicted,
             "reconfigures": self.reconfigures,
             "bypass.byte_identical": self.bypass_identical,
-            "bypass.whitespace_only": self.bypass_whitespace_only,
+            "bypass.trail_layout_only": self.bypass_trail_layout,
         }
