@@ -110,7 +110,11 @@ class WeaverRuntime:
         self._codegen_cache = (
             codegen_cache if codegen_cache is not None else codegen.CodegenCache()
         )
-        self._deployments: list[Deployment] = []
+        #: Active deployments by identity, in deployment order.  A
+        #: deployment leaves the moment it stops being active (undeploy,
+        #: rollback), so the runtime never keeps dead handles — and the
+        #: classes, scopes and aspects they reference — alive.
+        self._deployments: dict[int, Deployment] = {}
         # Monotonic weave-mutation counter; see the weave_epoch property.
         self._weave_epoch = 0
         # The sys.monitoring bridge, created lazily on the first shadow
@@ -140,7 +144,8 @@ class WeaverRuntime:
 
     @property
     def deployments(self) -> list[Deployment]:
-        return [d for d in self._deployments if d.active]
+        """The active deployments, oldest first (undeployed ones are gone)."""
+        return list(self._deployments.values())
 
     @property
     def weave_epoch(self) -> int:
@@ -241,6 +246,7 @@ class WeaverRuntime:
             scope=scope,
             _index=self._shadow_index,
             _watchers=self._watchers,
+            _owner=self,
         )
         scans = _scans if _scans is not None else self._shadow_index
         index = self._shadow_index
@@ -461,7 +467,7 @@ class WeaverRuntime:
             self._watchers.watch()
             deployment._tracks_cflow = True
         self._weave_epoch += 1
-        self._deployments.append(deployment)
+        self._deployments[id(deployment)] = deployment
         return deployment
 
     def _monitor_bridge(self) -> "monitor.MonitorBridge":
@@ -705,7 +711,13 @@ class WeaverRuntime:
         if deployment._tracks_cflow:
             watchers.unwatch()
             deployment._tracks_cflow = False
+        self._retire(deployment)
+
+    def _retire(self, deployment: Deployment) -> None:
+        """Mark *deployment* inactive and drop the runtime's reference."""
         deployment.active = False
+        owner = deployment._owner if deployment._owner is not None else self
+        owner._deployments.pop(id(deployment), None)
         self._weave_epoch += 1
 
     def undeploy_all(self) -> None:
@@ -1168,8 +1180,7 @@ class DeploymentSet:
                 if deployment._tracks_cflow:
                     watchers.unwatch()
                     deployment._tracks_cflow = False
-                deployment.active = False
-                self._runtime._weave_epoch += 1
+                self._runtime._retire(deployment)
         self._entries.clear()
 
     def undeploy(self, deployments: Iterable[Deployment] | None = None) -> None:

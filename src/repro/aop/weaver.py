@@ -1085,6 +1085,10 @@ class Deployment:
     #: whichever runtime object performs it.
     _index: ShadowIndex | None = field(default=None, repr=False)
     _watchers: _WatcherCount | None = field(default=None, repr=False)
+    #: The runtime that wove this deployment; it lists the deployment
+    #: while active and forgets it on undeploy, whichever runtime object
+    #: performs the undeploy.
+    _owner: Any = field(default=None, repr=False)
 
     def woven_signatures(self) -> list[str]:
         """Human-readable list of what this deployment touched."""

@@ -20,9 +20,11 @@ one audience's navigation without disturbing the others::
         server.reconfigure("curator", ("indexed-guided-tour",))
 
 The HTTP front (:mod:`repro.navigation.http`) puts that process behind a
-threaded WSGI server — ``GET /{audience}/{page_uri}`` with one *session
-scope* per connected user (private renderer + :class:`BreadcrumbAspect`
-trail, idle eviction) and a live management surface
+threaded WSGI server — ``GET /{audience}/{page_uri}`` with every
+connected user a member of one shared *session scope* (private renderer
+plus a :class:`BreadcrumbTrail` that the server's single
+:class:`BreadcrumbAspect` deployment stamps, idle eviction) and a live
+management surface
 (``POST /-/reconfigure/{audience}``, ``GET /-/stats``)::
 
     python -m repro.tools serve --audiences visitor,curator

@@ -4,17 +4,25 @@ The ROADMAP's production rung: the live multi-audience process behind a
 real (threaded WSGI) HTTP server.  ``GET /{audience}/{page_uri}`` renders
 the page through that audience's instance-scoped navigation stack — one
 woven renderer class, every audience's stack live simultaneously — and
-every *session* gets a second scope tier of its own:
+every *session* is a member of two persistent scopes, never a deployment
+of its own:
 
 - the session's private renderer instance is adopted into the audience's
-  persistent :class:`~repro.aop.InstanceScope`, so it rides the
-  audience's navigation (and any live ``reconfigure`` of it);
-- session-private concerns — the :class:`~repro.navigation.session.\
-BreadcrumbAspect` trail — deploy into a per-session scope layered on
-  top, so two users of one audience each see only their own footsteps;
-- sessions idle past the timeout are evicted: their trail deployment
-  unwinds (releasing the scope's marker defaults) and their renderer is
-  discarded from the audience scope.
+  :class:`~repro.aop.InstanceScope`, so it rides the audience's
+  navigation (and any live ``reconfigure`` of it);
+- it also joins the server's session scope, over which one
+  :class:`~repro.navigation.session.BreadcrumbAspect` deployment —
+  woven once, when the server is built, above every audience stack —
+  stamps each page with the *receiver's own* registered
+  :class:`~repro.navigation.session.BreadcrumbTrail`, so two users of
+  one audience each see only their own footsteps;
+- sessions idle past the timeout are evicted: the renderer leaves both
+  scopes (its marker stamps stripped, back to plain rendering) and its
+  trail is unregistered.
+
+Opening and evicting a session therefore never deploys, undeploys or
+moves the weave epoch: its cost is a renderer instance and two scope
+insertions, however many sessions are live.
 
 Sessions are identified by the ``repro_session`` cookie (minted on the
 first response) or an explicit ``X-Repro-Session`` request header.
@@ -66,7 +74,7 @@ from .serving import (
     build_node_map,
     resolve_page_target,
 )
-from .session import BreadcrumbAspect, SessionRecord, breadcrumb_fragment
+from .session import BreadcrumbTrail, SessionRecord, breadcrumb_fragment
 
 #: The session cookie the app mints on a cookieless request.
 SESSION_COOKIE = "repro_session"
@@ -147,10 +155,8 @@ class ServingSession:
 
     sid: str
     audience: str
-    #: The session's scope tier handle (renderer + scope + deployments).
+    #: The session's scope tier handle (renderer, trail, scope memberships).
     tier: SessionTier
-    #: The session's trail aspect (undeployed on eviction, via the tier).
-    breadcrumbs: BreadcrumbAspect
     #: Last request time, by the app's clock; eviction compares this.
     last_seen: float
     #: Pages served to this session (observability for ``/-/stats``).
@@ -162,9 +168,9 @@ class ServingSession:
         return self.tier.renderer
 
     @property
-    def scope(self) -> Any:
-        """The per-session scope the trail deployment dispatches through."""
-        return self.tier.scope
+    def trail(self) -> BreadcrumbTrail:
+        """The session's breadcrumb trail (registered with the server)."""
+        return self.tier.trail
 
 
 class NavigationApp:
@@ -181,8 +187,8 @@ class NavigationApp:
     seconds without a request evicts a session (checked opportunistically
     on every request, or explicitly via :meth:`evict_idle`);
     ``max_sessions`` bounds the live scope tier — every session costs a
-    renderer instance plus a weave deployment, so a client that never
-    replays its cookie must not grow the stack without limit; at the cap
+    renderer instance plus its trail, so a client that never replays its
+    cookie must not grow the process without limit; at the cap
     (after evicting every idle session) new sessions are refused with
     ``503``.  The old per-knob keyword arguments still work as
     deprecated shims.  ``clock`` is injectable for tests.
@@ -332,19 +338,22 @@ class NavigationApp:
     def _page(self, environ, audience: str, page_uri: str):
         started = time.perf_counter()
         # Resolve the page *before* touching the session tier: a request
-        # that will 404 must not cost a renderer + weave deployment.
+        # that will 404 must not cost a renderer + scope memberships.
         normalized, node = resolve_page_target(self._nodes, page_uri)
         session, minted = self._session_for(environ, audience)
         bypass = environ.get(CACHE_HEADER, "").strip().lower() == "bypass"
         cache = None if bypass else self._server.page_cache(audience)
         if cache is None:
             # Full render through the session's own woven renderer: the
-            # audience stack *and* the session's trail aspect both fire.
+            # audience stack *and* the trail deployment both fire.  The
+            # page is laid out exactly as a cached one — skeleton plus
+            # compact trail fragment — so hit, miss, bypass and off
+            # serve the same bytes for the same trail.
             if node is None:
                 page = session.renderer.render_home()
             else:
                 page = session.renderer.render_node(node)
-            text = page.html()
+            skeleton, fragment = page.skeleton_html()
             outcome = "bypass" if bypass else "off"
         else:
             # Cached path: the skeleton is audience-level (rendered
@@ -377,11 +386,10 @@ class NavigationApp:
             # Same (path, title) the trail aspect would have recorded on
             # a live render, so hit, miss and bypass grow the trail
             # identically.
-            crumbs = session.breadcrumbs.trail.record(entry.path, entry.title)
-            text = compose_page(
-                entry.skeleton, breadcrumb_fragment(crumbs, entry.path)
-            )
-        body = text.encode("utf-8")
+            crumbs = session.trail.record(entry.path, entry.title)
+            skeleton = entry.skeleton
+            fragment = breadcrumb_fragment(crumbs, entry.path)
+        body = compose_page(skeleton, fragment).encode("utf-8")
         headers = _html_headers(body)
         if minted:
             headers.append(
@@ -441,28 +449,21 @@ class NavigationApp:
     def _open_session_locked(
         self, sid: str, audience: str, now: float
     ) -> ServingSession:
-        tier = self._server.session_tier(audience)
-        breadcrumbs = BreadcrumbAspect(limit=self._breadcrumb_limit)
-        try:
-            tier.deploy(breadcrumbs)
-        except BaseException:
-            tier.close()
-            raise
-        session = ServingSession(
-            sid=sid,
-            audience=audience,
-            tier=tier,
-            breadcrumbs=breadcrumbs,
-            last_seen=now,
+        # Scope membership only: the renderer joins the audience and
+        # session scopes and its trail is registered with the server's
+        # one trail deployment — nothing is woven.
+        tier = self._server.session_tier(
+            audience, trail=BreadcrumbTrail(self._breadcrumb_limit)
         )
+        session = ServingSession(sid=sid, audience=audience, tier=tier, last_seen=now)
         self._sessions[(sid, audience)] = session
         return session
 
     def _close_session_locked(self, session: ServingSession) -> None:
         self._sessions.pop((session.sid, session.audience), None)
-        # Closing the tier unwinds the trail deployment (releasing the
-        # session scope's marker state) and discards the renderer from
-        # the audience scope, so the instance is back to plain rendering.
+        # Closing the tier takes the renderer out of both scopes
+        # (stripping their marker stamps) and unregisters its trail, so
+        # the instance is back to plain rendering.
         session.tier.close()
         self._evicted_total += 1
         self._served_by_evicted += session.requests
@@ -506,7 +507,7 @@ class NavigationApp:
                 SessionRecord(
                     sid=session.sid,
                     audience=session.audience,
-                    trail=tuple(session.breadcrumbs.trail.entries()),
+                    trail=tuple(session.trail.entries()),
                     last_seen=session.last_seen,
                     requests=session.requests,
                 )
@@ -518,7 +519,7 @@ class NavigationApp:
 
         Opens the session's scope tier if ``(sid, audience)`` is not
         already live (same path a cookie-bearing request takes: capacity
-        check, private renderer, session-scoped trail deployment), then
+        check, private renderer, registered trail), then
         replaces its breadcrumb trail with the record's — so the next
         page this session renders shows exactly the crumbs it would have
         on the worker it left.  ``last_seen`` is stamped from *this*
@@ -550,7 +551,7 @@ class NavigationApp:
                 )
                 session.requests = record.requests
             session.last_seen = now
-            session.breadcrumbs.trail.restore(record.trail)
+            session.trail.restore(record.trail)
             return session
 
     def _restore_sessions(self, environ):

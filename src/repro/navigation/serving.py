@@ -46,6 +46,7 @@ from .audience import DEFAULT_AUDIENCES, AudienceBundle
 from .cache import PageCache
 from .config import ServingConfig
 from .errors import NavigationError
+from .session import BreadcrumbAspect, BreadcrumbTrail
 
 #: Sentinel distinguishing "not passed" from an explicit ``None`` in the
 #: deprecated keyword shims.
@@ -182,11 +183,19 @@ class AudienceServer:
     audience's renderer and kept across :meth:`reconfigure`), so extra
     renderer instances adopted into the audience — one per connected
     session, see :mod:`repro.navigation.http` — ride the audience's
-    navigation stack the moment they are added.  Session-private concerns
-    (breadcrumb trails) deploy through a :meth:`session_tier` handle into
-    their own per-session scopes, layered over the audience tier in the
-    same transactional deployment set.  All weave *mutations* are serialized
-    on an internal lock; renders stay lock-free and concurrent.
+    navigation stack the moment they are added.  Above every audience
+    stack sits **one** breadcrumb deployment, woven here at construction
+    and scoped to a second persistent scope, :attr:`session_scope`: a
+    session renderer (:meth:`session_tier`) joins that scope and
+    registers its :class:`~repro.navigation.session.BreadcrumbTrail` with
+    the deployment's aspect, whose advice records
+    into the receiver's own trail.  Opening or closing a session is
+    therefore scope membership only — no deploy, no undeploy, no weave
+    epoch — however many sessions are live.  Other session-private
+    aspects still deploy through :meth:`SessionTier.deploy` into a
+    per-session scope above the trail, in the same transactional set.
+    All weave *mutations* are serialized on an internal lock; renders
+    stay lock-free and concurrent.
     """
 
     def __init__(
@@ -236,6 +245,10 @@ class AudienceServer:
         #: live session-tier deployments.
         self._session_aspects: dict[int, tuple[Aspect, InstanceScope, str | None]] = {}
         self._providers: dict[str, LazyWovenProvider] = {}
+        #: Every session renderer; the one trail deployment dispatches
+        #: through it.
+        self._session_scope = InstanceScope()
+        self._trails = BreadcrumbAspect()
         self._closed = False
         self._lock = threading.RLock()
         self._tx = self._runtime.transaction([PageRenderer])
@@ -253,6 +266,10 @@ class AudienceServer:
                 self._caches[bundle.name] = (
                     PageCache(config.cache_pages) if self._cache_active else None
                 )
+            # The session tier's trail deployment stacks above every
+            # audience stack, so a session's breadcrumb block renders
+            # after its audience's navigation.
+            self._tx._add(self._trails, instances=self._session_scope, lint=self._lint)
         except BaseException:
             self._tx.rollback()
             raise
@@ -340,6 +357,16 @@ class AudienceServer:
         """The audiences currently served, in registration order."""
         return list(self._bundles)
 
+    @property
+    def session_scope(self) -> InstanceScope:
+        """The persistent scope of every session renderer.
+
+        The server's one breadcrumb deployment dispatches through it;
+        :meth:`session_tier` adds a renderer and :meth:`SessionTier.close`
+        removes it again.
+        """
+        return self._session_scope
+
     def scope(self, audience: str) -> InstanceScope:
         """The audience's persistent instance scope.
 
@@ -412,20 +439,23 @@ class AudienceServer:
 
     # -- the session tier ------------------------------------------------------
 
-    def session_tier(self, audience: str) -> "SessionTier":
+    def session_tier(self, audience: str, trail: BreadcrumbTrail) -> "SessionTier":
         """Open a session scope tier over *audience*'s live stack.
 
         Adopts a fresh private renderer into the audience's persistent
-        scope and pairs it with a per-session
-        :class:`~repro.aop.InstanceScope`; the returned
-        :class:`SessionTier` deploys session-private aspects through
-        :meth:`SessionTier.deploy` and unwinds everything — deployments
-        and the renderer's scope membership — in one
-        :meth:`SessionTier.close` (or ``with`` block).
+        scope and into :attr:`session_scope`, and registers *trail* for
+        it, so the server's breadcrumb deployment stamps the session's
+        pages — all without touching the weave.  The returned :class:`SessionTier`
+        deploys further session-private aspects through
+        :meth:`SessionTier.deploy` and unwinds everything — deployments,
+        trail and scope memberships — in one :meth:`SessionTier.close`
+        (or ``with`` block).
         """
         with self._lock:
             renderer = self._adopt_renderer(audience)
-            return SessionTier(self, audience, renderer, InstanceScope([renderer]))
+            self._trails.register(renderer, trail)
+            self._session_scope.add(renderer)
+            return SessionTier(self, audience, renderer, trail)
 
     def _adopt_renderer(self, audience: str) -> Any:
         from repro.core import PageRenderer
@@ -438,6 +468,8 @@ class AudienceServer:
 
     def _release_renderer(self, audience: str, renderer: Any) -> None:
         with self._lock:
+            self._session_scope.discard(renderer)
+            self._trails.unregister(renderer)
             scope = self._scopes.get(audience)
             if scope is not None:
                 scope.discard(renderer)
@@ -564,18 +596,18 @@ class AudienceServer:
             self._bump_epoch(audience)
             previous = self._bundles[audience]
             old = self.deployments(audience)
-            # Session aspects always stack *above* every audience's
-            # navigation (they are deployed after the constructor wove
-            # the audiences).  Re-weaving the new stack appends it to the
-            # top of the transaction, so the *targeted* audience's session
-            # deployments are unwound here and re-added afterwards —
-            # keeping the documented order (audience tier below, session
-            # tier above) stable across reconfigures for its live
-            # sessions.  Other audiences' sessions are left to the partial
-            # undeploy's survivor re-weave (they end up above the new
-            # stack regardless, since they were deployed after every
-            # audience's initial weave).
-            restacked = [
+            # The session tier always stacks *above* every audience's
+            # navigation (it is deployed after the constructor wove the
+            # audiences).  Re-weaving the new stack appends it to the top
+            # of the transaction, so the trail deployment and the
+            # *targeted* audience's session deployments are unwound here
+            # and re-added afterwards — keeping the documented order
+            # (audience tier below, session tier above) stable across
+            # reconfigures.  Other audiences' session deployments are
+            # left to the partial undeploy's survivor re-weave (they end
+            # up above the new stack regardless, since they were deployed
+            # after every audience's initial weave).
+            restacked = [(self._trails, self._session_scope, None)] + [
                 entry
                 for entry in self._session_aspects.values()
                 if entry[2] in (None, audience)
@@ -595,7 +627,7 @@ class AudienceServer:
                 raise
             finally:
                 # Both on success and on a rolled-back failure, the
-                # audience's sessions return to the top of the stack.
+                # session tier returns to the top of the stack.
                 for aspect, scope, _ in restacked:
                     self._tx._add(aspect, instances=scope)
                 # Closing fence: anything rendered *during* the swap was
@@ -632,13 +664,14 @@ class SessionTier:
     Returned by :meth:`AudienceServer.session_tier`: owns a freshly
     adopted private renderer (a member of the audience's persistent
     scope, so it rides the audience's navigation and any live
-    reconfigure of it) plus a per-session
-    :class:`~repro.aop.InstanceScope` for session-private concerns.
-    :meth:`deploy` layers an aspect over the audience tier scoped to
-    this session; :meth:`close` — or leaving a ``with`` block — unwinds
-    every tier deployment *and* the renderer's scope membership
-    together, replacing the four-call adopt/deploy/undeploy/release
-    dance of the old surface.
+    reconfigure of it) and the session's breadcrumb :attr:`trail` (the
+    renderer is a member of the server's
+    :attr:`~AudienceServer.session_scope` too).
+    :meth:`deploy` layers a further aspect over the audience tier, scoped
+    to this session through a per-session
+    :class:`~repro.aop.InstanceScope` built on first use; :meth:`close` —
+    or leaving a ``with`` block — unwinds every tier deployment *and* the
+    renderer's scope memberships together.
     """
 
     def __init__(
@@ -646,12 +679,13 @@ class SessionTier:
         server: AudienceServer,
         audience: str,
         renderer: Any,
-        scope: InstanceScope,
+        trail: BreadcrumbTrail,
     ):
         self._server = server
         self._audience = audience
         self._renderer = renderer
-        self._scope = scope
+        self._trail = trail
+        self._scope: InstanceScope | None = None
         self._aspects: list[Aspect] = []
         self._closed = False
 
@@ -665,8 +699,20 @@ class SessionTier:
         return self._renderer
 
     @property
+    def trail(self) -> BreadcrumbTrail:
+        """The session's breadcrumb trail (registered with the server)."""
+        return self._trail
+
+    @property
     def scope(self) -> InstanceScope:
-        """The per-session scope tier deployments dispatch through."""
+        """The per-session scope :meth:`deploy` dispatches through.
+
+        Built on first use: sessions that deploy nothing of their own (the
+        serving layer's, whose trail rides the server's shared
+        deployment) never create one.
+        """
+        if self._scope is None:
+            self._scope = InstanceScope([self._renderer])
         return self._scope
 
     def aspects(self) -> list[Aspect]:
@@ -689,7 +735,7 @@ class SessionTier:
             )
         deployment = self._server._deploy_scoped(
             aspect,
-            self._scope if instances is None else instances,
+            self.scope if instances is None else instances,
             audience=self._audience,
         )
         self._aspects.append(aspect)
@@ -704,7 +750,8 @@ class SessionTier:
         """Unwind the whole tier: every deployment, then the renderer.
 
         LIFO over the tier's aspects, then the renderer leaves the
-        audience scope (stripping its marker stamp, back to plain
+        audience scope and the session scope and its trail is
+        unregistered (stripping its marker stamps, back to plain
         rendering).  Idempotent, and safe after the server closed.
         """
         if self._closed:

@@ -8,10 +8,11 @@ painting in the by-movement context.
 
 The per-user half of that example lives here too:
 :class:`BreadcrumbAspect` is a *session* navigation concern — a trail of
-the pages one user visited, woven over that user's private renderer
-instance (an instance-scoped deployment, see
-:mod:`repro.navigation.http`), so two users browsing the same audience
-from one live process each see only their own footsteps.
+the pages one user visited, stamped into the pages that user's private
+renderer instance produces.  The serving layer weaves it once, scoped to
+every session renderer, and each render looks up its own receiver's
+trail (see :mod:`repro.navigation.http`), so two users browsing the same
+audience from one live process each see only their own footsteps.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import json
 import posixpath
 import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
@@ -276,14 +278,20 @@ def breadcrumb_fragment(crumbs: "list[tuple[str, str]]", path: str) -> str:
 
 
 class BreadcrumbAspect(Aspect):
-    """Weaves one user's breadcrumb trail into the pages they render.
+    """Weaves users' breadcrumb trails into the pages they render.
 
     A *session* navigation concern: where :class:`NavigationAspect` is
     per-audience (what the site offers), the breadcrumb trail is per-user
-    (where *you* have been).  Deployed instance-scoped over one session's
-    private renderer, the advice fires only for that user's renders — the
-    audience's other sessions, and the audience's shared renderer, never
-    see this trail.
+    (where *you* have been).  The aspect owns no trail of its own: each
+    advised render records into the receiver's (``jp.target``'s) trail,
+    as given to :meth:`register`.  Deployed instance-scoped, the advice
+    fires only for renders whose receiver is in the deployment's scope —
+    the audience's shared renderer, and anyone outside the scope, never
+    see a trail — and a receiver with no registered trail renders
+    unstamped.  One deployment therefore serves every session: the
+    serving layer weaves it once over a shared scope of session
+    renderers, and a session joins or leaves by scope membership plus
+    :meth:`register`/:meth:`unregister` — no weave mutation.
 
     The trail block is a ``<nav class="breadcrumbs">`` appended after the
     page content (and after whatever audience navigation wrapped it),
@@ -291,26 +299,47 @@ class BreadcrumbAspect(Aspect):
     rendered page's path.
     """
 
-    def __init__(self, *, limit: int = 8, trail: BreadcrumbTrail | None = None):
-        self.trail = trail if trail is not None else BreadcrumbTrail(limit)
+    def __init__(self):
+        #: Receiver -> its trail.  Weakly keyed, so a renderer that dies
+        #: unregistered takes its entry with it.
+        self._trails: "weakref.WeakKeyDictionary[Any, BreadcrumbTrail]" = (
+            weakref.WeakKeyDictionary()
+        )
         self._count_lock = threading.Lock()
         #: Join point observations, useful for tests and /-/stats.
         self.pages_advised: int = 0
 
+    def register(self, receiver: Any, trail: BreadcrumbTrail) -> None:
+        """Give *receiver*'s renders *trail*."""
+        self._trails[receiver] = trail
+
+    def unregister(self, receiver: Any) -> None:
+        """Forget *receiver*'s trail (idempotent)."""
+        self._trails.pop(receiver, None)
+
+    def trail_for(self, receiver: Any) -> BreadcrumbTrail | None:
+        """The trail a render by *receiver* records into, if any."""
+        return self._trails.get(receiver)
+
     @around("execution(PageRenderer.render_node)")
     def trail_node(self, jp):
-        return self._stamp(jp.proceed())
+        receiver = jp.target
+        return self._stamp(jp.proceed(), receiver)
 
     @around("execution(PageRenderer.render_home)")
     def trail_home(self, jp):
-        return self._stamp(jp.proceed())
+        receiver = jp.target
+        return self._stamp(jp.proceed(), receiver)
 
-    def _stamp(self, page):
+    def _stamp(self, page, receiver):
         # Renders run lock-free and concurrent; the counter must not lose
         # increments to an interleaved read-modify-write.
         with self._count_lock:
             self.pages_advised += 1
-        crumbs = self.trail.record(page.path, page.title or page.path)
+        trail = self.trail_for(receiver)
+        if trail is None:
+            return page
+        crumbs = trail.record(page.path, page.title or page.path)
         nav = breadcrumb_nav(crumbs, page.path)
         if nav is None:
             return page

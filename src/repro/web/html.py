@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.hypermedia.access import Anchor
-from repro.xmlcore import Element, build, comment, serialize
+from repro.xmlcore import Element, build, comment, qname, serialize
 
 #: Class attribute marking the per-session breadcrumb trail ``<nav>`` — the
 #: only session-variant region of a rendered page (everything else is
@@ -21,6 +21,8 @@ TRAIL_NAV_CLASS = "breadcrumbs"
 #: The placeholder the skeleton serializer emits where the trail block
 #: sat.  :func:`compose_page` splices a per-request fragment over it.
 TRAIL_SLOT = "<!--repro:trail-->"
+
+_CLASS_ATTR = qname("class")
 
 
 def page_skeleton(title: str) -> tuple[Element, Element]:
@@ -117,7 +119,8 @@ class HtmlPage:
         """Serialize this page split into ``(skeleton, trail_fragment)``.
 
         The skeleton is the full page with the session-variant trail
-        block (the ``<nav class="breadcrumbs">``, if any) lifted out and
+        block (the ``<nav class="breadcrumbs">`` child of ``<body>``, if
+        any — the breadcrumb aspect appends it there) lifted out and
         :data:`TRAIL_SLOT` emitted in its place — at the end of ``<body>``
         when the page carries no trail, so a cached skeleton always has a
         splice point.  The fragment is the lifted trail serialized
@@ -128,19 +131,23 @@ class HtmlPage:
         body = self.tree.find("body")
         if body is None:
             return serialize(self.tree, indent=indent), ""
-        trail = next(
+        children = body.children
+        slot_index = next(
             (
-                nav
-                for nav in body.findall("nav")
-                if nav.get("class") == TRAIL_NAV_CLASS
+                i
+                for i, child in enumerate(children)
+                if isinstance(child, Element)
+                and child.name.local == "nav"
+                and child.get(_CLASS_ATTR) == TRAIL_NAV_CLASS
             ),
             None,
         )
-        if trail is None:
-            slot_index = len(body.children)
+        if slot_index is None:
+            trail = None
+            slot_index = len(children)
             fragment = ""
         else:
-            slot_index = body.child_index(trail)
+            trail = children[slot_index]
             body.remove(trail)
             fragment = serialize(trail)
         slot = comment("repro:trail")

@@ -532,9 +532,9 @@ class TestShippedExamplesAreClean:
 
     def test_breadcrumb_aspect_is_clean(self, codegen_tier):
         from repro.core import PageRenderer
-        from repro.navigation.session import BreadcrumbAspect, BreadcrumbTrail
+        from repro.navigation.session import BreadcrumbAspect
 
-        aspect = BreadcrumbAspect(trail=BreadcrumbTrail())
+        aspect = BreadcrumbAspect()
         assert (
             analyze_deployment(
                 aspect, [PageRenderer], instances=[Renderer()]

@@ -9,6 +9,9 @@ runtime.  The full advice-chain semantics matrix stays in
 shims).
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.aop import (
@@ -646,3 +649,80 @@ class TestBatchScansFreshAfterUnweave:
         Target().op()
         assert log == ["b"]
         tx.undeploy()
+
+
+class TestDeploymentRetirement:
+    """A runtime forgets a deployment the moment it stops being active.
+
+    Undeploy, a set's rollback (strict or forgiving) and a failed partial
+    weave all retire their deployments; a runtime that kept the handles
+    would keep every dead wrapper, scope and aspect alive with them.
+    """
+
+    @staticmethod
+    def _assert_all_collected(refs):
+        gc.collect()
+        alive = [ref() for ref in refs if ref() is not None]
+        assert alive == [], f"{len(alive)} inactive deployment(s) still reachable"
+
+    def test_cycles_and_rollback_leave_nothing_reachable(self):
+        Target = fresh_target()
+        runtime = WeaverRuntime("retire")
+        refs = []
+        for i in range(200):
+            handle = runtime.weave(Target, make_tagger(f"c{i}", []))
+            refs.extend(weakref.ref(d) for d in handle.deployments)
+            handle.undeploy()
+        tx = runtime.transaction([Target])
+        refs.append(weakref.ref(tx._add(make_tagger("r1", []))))
+        refs.append(weakref.ref(tx._add(make_tagger("r2", []))))
+        tx.rollback()
+        del handle, tx
+        assert runtime.deployments == []
+        assert runtime.stats()["deployments"] == 0
+        assert len(refs) == 202
+        self._assert_all_collected(refs)
+        assert Target().op() == "op"
+
+    def test_failed_partial_weave_is_never_listed(self):
+        class Nothing(Aspect):
+            @before("execution(Elsewhere.op)")
+            def note(self, jp):
+                pass
+
+        Target = fresh_target()
+        runtime = WeaverRuntime("failed")
+        tx = runtime.transaction([Target])
+        with pytest.raises(WeavingError, match="matched nothing"):
+            tx._add(Nothing())
+        assert runtime.deployments == []
+        live = tx._add(make_tagger("ok", []))
+        assert runtime.deployments == [live]
+        tx.undeploy()
+        assert runtime.deployments == []
+
+    def test_forgiving_rollback_retires_from_its_runtime(self):
+        Target = fresh_target()
+        runtime = WeaverRuntime("forgiving")
+        outsider = WeaverRuntime("outsider")
+        tx = runtime.transaction([Target])
+        ref = weakref.ref(tx._add(make_tagger("inner", [])))
+        # A weave by another runtime on top makes the strict undeploy
+        # refuse; rollback falls back to the forgiving unwind.
+        above = outsider.weave(Target, make_tagger("outer", []))
+        tx.rollback()
+        assert runtime.deployments == []
+        self._assert_all_collected([ref])
+        above.rollback()
+        assert outsider.deployments == []
+
+    def test_undeploy_through_another_runtime_retires_from_the_owner(self):
+        Target = fresh_target()
+        owner = WeaverRuntime("owner")
+        other = WeaverRuntime("other")
+        deployment = owner._deploy(make_tagger("x", []), [Target])
+        other.undeploy(deployment)
+        assert owner.deployments == [] and other.deployments == []
+        ref = weakref.ref(deployment)
+        del deployment
+        self._assert_all_collected([ref])

@@ -22,10 +22,13 @@ from repro.baselines import museum_fixture
 from repro.navigation import (
     AudienceBundle,
     AudienceServer,
+    BreadcrumbAspect,
+    BreadcrumbTrail,
     CachedSkeleton,
     NavigationApp,
     PageCache,
     ServingConfig,
+    SessionRecord,
     page_cache_enabled,
 )
 from repro.web import TRAIL_SLOT, compose_page
@@ -160,13 +163,13 @@ class TestWeaveEpoch:
     def test_session_scoped_deploys_leave_the_cache_warm(self, fixture):
         """A deploy that never touches the shared renderer keeps the epoch.
 
-        Every new session deploys its breadcrumb tier into its own
-        scope; if that bumped the audience epoch, each arrival would
-        flush the whole audience cache.
+        A session tier's own deployments go into its private scope; if
+        that bumped the audience epoch, each such deploy would flush the
+        whole audience cache.
         """
         with AudienceServer(fixture, VISITOR_CURATOR) as server:
             visitor_before = server.weave_epoch("visitor")
-            with server.session_tier("visitor") as tier:
+            with server.session_tier("visitor", BreadcrumbTrail(4)) as tier:
                 tier.deploy(_trail_aspect())
                 assert server.weave_epoch("visitor") == visitor_before
 
@@ -176,7 +179,7 @@ class TestWeaveEpoch:
         with AudienceServer(fixture, VISITOR_CURATOR) as server:
             curator_before = server.weave_epoch("curator")
             visitor_before = server.weave_epoch("visitor")
-            with server.session_tier("visitor") as tier:
+            with server.session_tier("visitor", BreadcrumbTrail(4)) as tier:
                 scope = InstanceScope([tier.renderer, server.renderer("visitor")])
                 tier.deploy(_trail_aspect(), instances=scope)
                 assert server.weave_epoch("visitor") > visitor_before
@@ -184,9 +187,7 @@ class TestWeaveEpoch:
 
 
 def _trail_aspect():
-    from repro.navigation import BreadcrumbAspect
-
-    return BreadcrumbAspect(limit=4)
+    return BreadcrumbAspect()
 
 
 class TestCachedServing:
@@ -293,6 +294,54 @@ class TestCachedServing:
             == "<body><p>x</p><nav>trail</nav></body>"
         )
         assert compose_page(skeleton, "") == "<body><p>x</p></body>"
+
+
+class TestOutcomeByteParity:
+    """hit, miss, bypass and off serve identical bytes for one trail.
+
+    Each outcome is served to a session whose trail was first restored
+    to the same crumbs, so the four bodies must match byte for byte —
+    including the trail ``<nav>`` layout and the empty-slot case.
+    """
+
+    TRAILS = {
+        "no-trail": (),
+        "two-crumbs": (
+            ("PaintingNode/guernica.html", "Guernica"),
+            ("index.html", "The Museum"),
+        ),
+    }
+
+    @staticmethod
+    def _serve(app, page, trail, *, bypass=False):
+        app.restore_session(SessionRecord(sid="s", audience="visitor", trail=trail))
+        _, headers, text = call(app, f"/visitor/{page}", sid="s", bypass=bypass)
+        return headers["X-Repro-Cache"], text
+
+    @pytest.mark.parametrize("trail_name", sorted(TRAILS))
+    @pytest.mark.parametrize("page", ["index.html", GUITAR])
+    def test_every_outcome_serves_the_same_bytes(
+        self, fixture, wrapper_tier, page, trail_name
+    ):
+        trail = self.TRAILS[trail_name]
+        bodies = {}
+        with AudienceServer(fixture, VISITOR_CURATOR) as server:
+            app = NavigationApp(server)
+            for bypass in (False, False, True):
+                outcome, text = self._serve(app, page, trail, bypass=bypass)
+                bodies[outcome] = text
+            app.close()
+        config = ServingConfig(cache_enabled=False)
+        with AudienceServer(fixture, VISITOR_CURATOR, config=config) as server:
+            app = NavigationApp(server)
+            outcome, text = self._serve(app, page, trail)
+            bodies[outcome] = text
+            app.close()
+        assert sorted(bodies) == ["bypass", "hit", "miss", "off"]
+        assert len(set(bodies.values())) == 1, {
+            name: _trail_block(body) for name, body in bodies.items()
+        }
+        assert ('class="breadcrumbs"' in bodies["off"]) == bool(trail)
 
 
 class TestConcurrentInvalidation:

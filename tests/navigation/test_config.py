@@ -9,18 +9,30 @@ running while it migrates.
 
 import pytest
 
+from repro.aop import Aspect, around
 from repro.baselines import museum_fixture
 from repro.hypermedia.errors import NavigationError
 from repro.navigation import (
     AudienceBundle,
     AudienceServer,
-    BreadcrumbAspect,
+    BreadcrumbTrail,
     NavigationApp,
     ServingConfig,
     SessionTier,
 )
+from repro.xmlcore import build
 
 VISITOR = [AudienceBundle("visitor", ("index", "guided-tour"))]
+
+
+class MarkAspect(Aspect):
+    """A session-private extra: appends ``<p class="mark">`` to node pages."""
+
+    @around("execution(PageRenderer.render_node)")
+    def mark(self, jp):
+        page = jp.proceed()
+        page.tree.find("body").append(build("p", {"class": "mark"}))
+        return page
 
 
 @pytest.fixture()
@@ -79,9 +91,9 @@ class TestServingConfig:
 class TestSessionTier:
     def test_context_manager_unwinds_everything(self, fixture):
         with AudienceServer(fixture, VISITOR) as server:
-            with server.session_tier("visitor") as tier:
+            with server.session_tier("visitor", BreadcrumbTrail(4)) as tier:
                 assert isinstance(tier, SessionTier)
-                aspect = BreadcrumbAspect(limit=4)
+                aspect = MarkAspect()
                 tier.deploy(aspect)
                 assert tier.aspects() == [aspect]
                 assert tier.renderer in server.scope("visitor")
@@ -92,17 +104,17 @@ class TestSessionTier:
 
     def test_close_is_idempotent_and_blocks_deploys(self, fixture):
         with AudienceServer(fixture, VISITOR) as server:
-            tier = server.session_tier("visitor")
+            tier = server.session_tier("visitor", BreadcrumbTrail(4))
             tier.close()
             tier.close()
             with pytest.raises(NavigationError):
-                tier.deploy(BreadcrumbAspect(limit=4))
+                tier.deploy(MarkAspect())
 
     def test_undeploy_unwinds_one_aspect_early(self, fixture):
         with AudienceServer(fixture, VISITOR) as server:
-            with server.session_tier("visitor") as tier:
-                first = BreadcrumbAspect(limit=4)
-                second = BreadcrumbAspect(limit=2)
+            with server.session_tier("visitor", BreadcrumbTrail(4)) as tier:
+                first = MarkAspect()
+                second = MarkAspect()
                 tier.deploy(first)
                 tier.deploy(second)
                 tier.undeploy(first)
@@ -111,19 +123,15 @@ class TestSessionTier:
     def test_tier_scoped_aspect_only_advises_this_session(self, fixture):
         with AudienceServer(fixture, VISITOR) as server:
             with (
-                server.session_tier("visitor") as mine,
-                server.session_tier("visitor") as theirs,
+                server.session_tier("visitor", BreadcrumbTrail(4)) as mine,
+                server.session_tier("visitor", BreadcrumbTrail(4)) as theirs,
             ):
-                mine.deploy(BreadcrumbAspect(limit=4))
-                # The second page carries the trail (the first had no
-                # history — ``record`` returns the *prior* crumbs).
+                mine.deploy(MarkAspect())
                 node = next(iter(mine.renderer.node_inventory()))
-                mine.renderer.render_home()
                 mine_html = mine.renderer.render_node(node).html()
-                theirs.renderer.render_home()
                 theirs_html = theirs.renderer.render_node(node).html()
-                assert 'class="breadcrumbs"' in mine_html
-                assert 'class="breadcrumbs"' not in theirs_html
+                assert 'class="mark"' in mine_html
+                assert 'class="mark"' not in theirs_html
 
 
 class TestDeprecationShims:
@@ -150,7 +158,7 @@ class TestDeprecationShims:
         with AudienceServer(fixture, VISITOR) as server:
             with pytest.warns(DeprecationWarning, match="adopt_renderer"):
                 renderer = server.adopt_renderer("visitor")
-            aspect = BreadcrumbAspect(limit=4)
+            aspect = MarkAspect()
             with pytest.warns(DeprecationWarning, match="deploy_scoped"):
                 server.deploy_scoped(aspect, [renderer], audience="visitor")
             with pytest.warns(DeprecationWarning, match="undeploy_scoped"):

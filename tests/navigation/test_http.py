@@ -3,12 +3,13 @@
 Covers the acceptance bar for serving: routing over
 :class:`NavigationApp` (audiences, pages, management endpoints), cookie /
 header session identity, the two-level scope hierarchy (a session's
-renderer rides the audience scope while its breadcrumb trail weaves in a
-private session scope), idle-timeout eviction that releases marker state,
-live ``reconfigure`` through the management surface, and — the
-concurrency suite — N threads with one session each interleaved with a
-mid-flight reconfigure, asserting per-session breadcrumb isolation and
-marker-default release after eviction.
+renderer rides the audience scope and the server's session scope, where
+one shared trail deployment stamps its own registered trail),
+idle-timeout eviction that strips marker stamps, sessions opening and
+closing without any weave mutation, live ``reconfigure`` through the
+management surface, and — the concurrency suite — N threads with one
+session each interleaved with a mid-flight reconfigure, asserting
+per-session breadcrumb isolation and stamp release after eviction.
 """
 
 import io
@@ -19,7 +20,7 @@ import urllib.request
 
 import pytest
 
-from repro.aop import codegen
+from repro.aop import WeaverRuntime, codegen
 from repro.baselines import museum_fixture
 from repro.core import PageRenderer
 from repro.navigation import (
@@ -166,13 +167,19 @@ class TestSessions:
     def test_session_renderers_join_the_audience_scope(self, served):
         server, app = served
         assert len(server.scope("visitor")) == 1  # the audience renderer
+        assert len(server.session_scope) == 0
         call(app, "/visitor/index.html", sid="alice")
         call(app, "/visitor/index.html", sid="bob")
         assert len(server.scope("visitor")) == 3
+        # Exactly the two session renderers carry trails; the audience's
+        # shared renderer never joins the session scope.
+        renderers = {id(s.renderer) for s in app.sessions()}
+        assert {id(r) for r in server.session_scope.instances()} == renderers
+        assert server.renderer("visitor") not in server.session_scope
         stats = server.runtime.stats()
         # Audience scopes (one per audience, shared by each stack) plus
-        # one session scope per live session.
-        assert stats["scopes"]["count"] == len(VISITOR_CURATOR) + 2
+        # the one session scope every trail rides — no per-session scope.
+        assert stats["scopes"]["count"] == len(VISITOR_CURATOR) + 1
         assert stats["instance_scoped"] == stats["deployments"]
 
 
@@ -219,29 +226,40 @@ class TestEviction:
             app = NavigationApp(
                 server, session_idle_timeout=100.0, clock=lambda: clock[0]
             )
-            call(app, f"/visitor/{GUITAR}", sid="alice")
+            call(app, "/visitor/index.html", sid="alice")
             (session,) = app.sessions()
-            marker = session.scope.attr
+            markers = [server.session_scope.attr, server.scope("visitor").attr]
             renderer = session.renderer
-            # Codegen tier: the session scope's marker default is live on
-            # the class and its stamp on the instance (the generic tier
+            # Codegen tier: both scopes' marker defaults are live on the
+            # class and their stamps on the instance (the generic tier
             # dispatches on ids and never stamps).
             if codegen.codegen_enabled():
-                assert hasattr(PageRenderer, marker)
-                assert marker in vars(renderer)
+                for marker in markers:
+                    assert hasattr(PageRenderer, marker)
+                    assert marker in vars(renderer)
+            node = fixture.painting_node("guitar")
+            assert 'class="breadcrumbs"' in renderer.render_node(node).html()
             clock[0] = 101.0
             assert app.evict_idle() == 1
             assert app.sessions() == []
-            # Marker default gone from the class, stamp gone from the
-            # instance, renderer out of the audience scope.
-            assert not hasattr(PageRenderer, marker)
-            assert marker not in vars(renderer)
+            # Stamps gone from the instance, renderer out of both scopes,
+            # trail unregistered.
+            stamps = [k for k in vars(renderer) if k.startswith("_aop_scope_")]
+            assert stamps == []
             assert renderer not in server.scope("visitor")
+            assert renderer not in server.session_scope
             assert len(server.scope("visitor")) == 1
-            # The evicted renderer is back to plain rendering.
-            node = fixture.painting_node("guitar")
-            assert "<nav>" not in renderer.render_node(node).html()
+            assert len(server.session_scope) == 0
+            # The evicted renderer is back to plain rendering: no audience
+            # navigation, no trail.
+            html = renderer.render_node(node).html()
+            assert "<nav" not in html
+            assert html == PageRenderer(fixture).render_node(node).html()
             app.close()
+        # The shared trail deployment's marker default leaves the class
+        # with the server.
+        for marker in markers:
+            assert not hasattr(PageRenderer, marker)
 
     def test_requests_evict_opportunistically_and_reopen_fresh(self, fixture):
         clock = [0.0]
@@ -263,6 +281,103 @@ class TestEviction:
             # requests from the evicted session plus one from the fresh one.
             assert stats["sessions"]["requests"] == 3
             app.close()
+
+
+class TestSessionsAreScopeMembers:
+    """Opening and evicting a session never touches the weave."""
+
+    @staticmethod
+    def _count_weaves(monkeypatch) -> list[tuple[str, str]]:
+        """Record every ``(operation, aspect class)`` from here on."""
+        calls: list[tuple[str, str]] = []
+        real_deploy = WeaverRuntime._deploy
+        real_undeploy = WeaverRuntime.undeploy
+
+        def deploy(self, aspect, *args, **kwargs):
+            calls.append(("deploy", type(aspect).__name__))
+            return real_deploy(self, aspect, *args, **kwargs)
+
+        def undeploy(self, deployment):
+            calls.append(("undeploy", type(deployment.aspect).__name__))
+            return real_undeploy(self, deployment)
+
+        monkeypatch.setattr(WeaverRuntime, "_deploy", deploy)
+        monkeypatch.setattr(WeaverRuntime, "undeploy", undeploy)
+        return calls
+
+    def test_open_and_evict_200_sessions_without_weaving(self, fixture, monkeypatch):
+        clock = [0.0]
+        with AudienceServer(fixture, VISITOR_CURATOR) as server:
+            app = NavigationApp(
+                server,
+                config=ServingConfig(session_idle_timeout=100.0, max_sessions=400),
+                clock=lambda: clock[0],
+            )
+            calls = self._count_weaves(monkeypatch)
+            for i in range(200):
+                audience = "visitor" if i % 2 == 0 else "curator"
+                assert call(app, f"/{audience}/{GUITAR}", sid=f"u{i}")[0] == 200
+            assert len(app.sessions()) == 200
+            assert len(server.session_scope) == 200
+            clock[0] = 1000.0
+            assert app.evict_idle() == 200
+            assert calls == []
+            assert len(server.session_scope) == 0
+            app.close()
+
+    def test_epoch_and_deployments_ignore_live_sessions(self, fixture):
+        clock = [0.0]
+        with AudienceServer(fixture, VISITOR_CURATOR) as server:
+            app = NavigationApp(
+                server,
+                config=ServingConfig(session_idle_timeout=100.0, max_sessions=400),
+                clock=lambda: clock[0],
+            )
+            runtime = server.runtime
+
+            def weave_state():
+                return (
+                    runtime.weave_epoch,
+                    len(runtime.deployments),
+                    server.weave_epoch("visitor"),
+                    server.weave_epoch("curator"),
+                )
+
+            before = weave_state()
+            for live in (1, 50, 150):
+                while len(app.sessions()) < live:
+                    sid = f"u{len(app.sessions())}"
+                    call(app, "/visitor/index.html", sid=sid)
+                assert weave_state() == before, live
+            clock[0] = 1000.0
+            app.evict_idle()
+            assert app.sessions() == []
+            assert weave_state() == before
+            app.close()
+
+    def test_reconfigure_re_adds_exactly_one_trail_deployment(
+        self, served, monkeypatch
+    ):
+        server, app = served
+        for i in range(6):
+            call(app, f"/{'visitor' if i % 2 else 'curator'}/index.html", sid=f"u{i}")
+        runtime = server.runtime
+        count = len(runtime.deployments)
+        calls = self._count_weaves(monkeypatch)
+        server.reconfigure("visitor", ("index",))
+        trails = [
+            d for d in runtime.deployments if isinstance(d.aspect, BreadcrumbAspect)
+        ]
+        assert len(trails) == 1
+        # The trail deployment is back on top, over the session scope.
+        assert runtime.deployments[-1] is trails[0]
+        assert trails[0].scope is server.session_scope
+        # visitor lost one of its two aspects; nothing per session.
+        assert len(runtime.deployments) == count - 1
+        assert calls.count(("deploy", "BreadcrumbAspect")) == 1
+        assert calls.count(("undeploy", "BreadcrumbAspect")) == 1
+        _, _, page = call(app, f"/visitor/{GUITAR}", sid="u1")
+        assert 'class="breadcrumbs"' in page and 'rel="next"' not in page
 
 
 class TestManagementSurface:
@@ -336,22 +451,40 @@ class TestManagementSurface:
     def test_reconfigure_restacks_only_the_target_audiences_sessions(
         self, served, monkeypatch
     ):
-        """Other audiences' session aspects are not explicitly re-added."""
+        """Other audiences' session aspects are not explicitly re-added.
+
+        The shared trail deployment is re-added once, whatever the number
+        of live sessions; of the aspects session tiers deployed on their
+        own, only the reconfigured audience's are.
+        """
         server, app = served
         call(app, "/visitor/index.html", sid="alice")
         call(app, "/curator/index.html", sid="bob")
+        visitor_extra, curator_extra = BreadcrumbAspect(), BreadcrumbAspect()
+        visitor_tier = server.session_tier("visitor", BreadcrumbTrail(4))
+        curator_tier = server.session_tier("curator", BreadcrumbTrail(4))
+        visitor_tier.deploy(visitor_extra)
+        curator_tier.deploy(curator_extra)
         added = []
         real_add = server._tx._add
 
         def counting_add(aspect, *args, **kwargs):
-            added.append(type(aspect).__name__)
+            added.append(aspect)
             return real_add(aspect, *args, **kwargs)
 
         monkeypatch.setattr(server._tx, "_add", counting_add)
         server.reconfigure("curator", ("indexed-guided-tour",))
-        # One NavigationAspect for the new stack + exactly one breadcrumb
-        # re-stack (bob's); alice's visitor session is never re-added.
-        assert added.count("BreadcrumbAspect") == 1
+        names = [type(aspect).__name__ for aspect in added]
+        # One NavigationAspect for the new stack, the one trail
+        # deployment and the curator tier's own aspect; the visitor
+        # tier's aspect is never re-added.
+        assert names.count("NavigationAspect") == 1
+        assert sum(aspect is server._trails for aspect in added) == 1
+        assert sum(aspect is curator_extra for aspect in added) == 1
+        assert not any(aspect is visitor_extra for aspect in added)
+        assert len(added) == 3
+        visitor_tier.close()
+        curator_tier.close()
 
     def test_deploy_scoped_resolves_one_shot_iterables_once(self, served):
         """A generator argument must not yield an empty scope later."""
@@ -449,7 +582,7 @@ class TestSessionScopeConcurrency:
             sessions = {s.sid: s for s in app.sessions()}
             assert len(sessions) == len(paintings)
             for i, own_page in enumerate(paintings):
-                trail = sessions[f"user{i}"].breadcrumbs.trail.paths()
+                trail = sessions[f"user{i}"].trail.paths()
                 others = set(paintings) - {own_page}
                 assert not (set(trail) & others), (i, trail)
                 assert set(trail) <= {"index.html", own_page}
@@ -461,18 +594,20 @@ class TestSessionScopeConcurrency:
             _, _, visitor = call(app, "/visitor/PaintingNode/guitar.html", sid="user0")
             assert 'rel="next"' in visitor and "breadcrumbs" in visitor
 
-            # Evict everyone: every session marker default is released.
-            markers = [s.scope.attr for s in app.sessions()]
+            # Evict everyone: every session leaves both scopes.
             renderers = [s.renderer for s in app.sessions()]
             app.close()
-            for marker in markers:
-                assert not hasattr(PageRenderer, marker)
             for renderer in renderers:
                 # No stray scope stamps left on the evicted instances.
                 stamps = [k for k in vars(renderer) if k.startswith("_aop_scope_")]
                 assert stamps == []
+                assert renderer not in server.session_scope
+            assert len(server.session_scope) == 0
             assert len(server.scope("visitor")) == 1
             assert len(server.scope("curator")) == 1
+            marker = server.session_scope.attr
+        # Closing the server releases the trail deployment's marker too.
+        assert not hasattr(PageRenderer, marker)
         assert not hasattr(PageRenderer.render_node, "__woven__")
 
 

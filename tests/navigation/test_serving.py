@@ -158,7 +158,9 @@ class TestAudienceServer:
         monkeypatch.setattr(weaver_mod, "_scan_method_shadows", counting_scan)
         with AudienceServer(fixture, VISITOR_CURATOR) as server:
             assert scans.count(PageRenderer) == 1
-            assert server.runtime.stats()["instance_scoped"] == 3
+            # Three audience navigation deployments plus the one trail
+            # deployment every session shares.
+            assert server.runtime.stats()["instance_scoped"] == 4
 
     def test_reconfigure_leaves_other_audience_byte_identical(self, fixture):
         with AudienceServer(fixture, VISITOR_CURATOR) as server:

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.aop import InstanceScope, WeaverRuntime
 from repro.baselines import museum_fixture
+from repro.core import PageRenderer
 from repro.navigation import (
+    BreadcrumbAspect,
     BreadcrumbTrail,
     NavigationError,
     NavigationSession,
@@ -203,3 +206,38 @@ class TestTrailRestore:
         target = BreadcrumbTrail(8)
         target.restore(SessionRecord.from_json(record.to_json()).trail)
         assert target.entries() == source.entries()
+
+
+class TestPerReceiverBreadcrumbs:
+    """One breadcrumb deployment, each receiver stamped with its own trail."""
+
+    def test_each_receiver_records_into_its_own_trail(self, fixture):
+        aspect = BreadcrumbAspect()
+        mine, theirs, stranger = (PageRenderer(fixture) for _ in range(3))
+        trails = {"mine": BreadcrumbTrail(4), "theirs": BreadcrumbTrail(4)}
+        aspect.register(mine, trails["mine"])
+        aspect.register(theirs, trails["theirs"])
+        scope = InstanceScope([mine, theirs, stranger])
+        node = fixture.painting_node("guitar")
+        with WeaverRuntime("trails").weave(PageRenderer, aspect, instances=scope):
+            mine.render_home()
+            page = mine.render_node(node).html()
+            theirs.render_node(node)
+            # A scope member with no registered trail renders unstamped.
+            plain = stranger.render_home().html()
+            stranger.render_node(node)
+        assert 'class="breadcrumbs"' in page
+        assert 'class="breadcrumbs"' not in plain
+        assert trails["mine"].paths() == ["index.html", node.uri]
+        assert trails["theirs"].paths() == [node.uri]
+        assert aspect.trail_for(stranger) is None
+
+    def test_unregister_forgets_the_receiver(self, fixture):
+        aspect = BreadcrumbAspect()
+        renderer = PageRenderer(fixture)
+        trail = BreadcrumbTrail(4)
+        aspect.register(renderer, trail)
+        assert aspect.trail_for(renderer) is trail
+        aspect.unregister(renderer)
+        aspect.unregister(renderer)  # idempotent
+        assert aspect.trail_for(renderer) is None
