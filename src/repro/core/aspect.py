@@ -15,10 +15,12 @@ The base program never changes; deploying a different aspect instance
 
 from __future__ import annotations
 
+import posixpath
+
 from repro.aop import Aspect, around
 from repro.baselines.museum_data import MuseumFixture
-from repro.hypermedia import NavigationalContext
-from repro.web import HtmlPage, nav_block
+from repro.hypermedia import Anchor, NavigationalContext
+from repro.web import HtmlPage, nav_block, site_relpath
 
 from .navspec import NavigationSpec
 
@@ -68,15 +70,11 @@ def _relativize(anchors, page_path: str):
     Node URIs are site-absolute (``PaintingNode/guitar.html``); pages live
     in subdirectories, so anchors need ``../`` prefixes to resolve.
     """
-    import posixpath
-
-    from repro.hypermedia import Anchor
-
-    directory = posixpath.dirname(page_path)
+    directory = posixpath.dirname(page_path) or "."
     out = []
     for anchor in anchors:
         href = anchor.href
         if not href.startswith(("http://", "https://", "#")):
-            href = posixpath.relpath(href, directory or ".")
+            href = site_relpath(href, directory)
         out.append(Anchor(anchor.label, href, anchor.rel))
     return out

@@ -29,6 +29,7 @@ from repro.web import (
     image,
     nav_block,
     page_skeleton,
+    site_relpath,
 )
 from repro.xlink import Linkbase, Locator, Show, UriSpace
 from repro.xmlcore import build, serialize
@@ -191,7 +192,7 @@ class XLinkSiteBuilder:
                 if end.href.uri == HOME_DATA_URI
                 else page_path_for(end.href.uri)
             )
-            href = posixpath.relpath(end_page, directory or ".")
+            href = site_relpath(end_page, directory or ".")
             rel = rel_for_arcrole(traversal.arc.arcrole)
             label = (
                 traversal.arc.title

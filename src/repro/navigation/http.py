@@ -54,7 +54,7 @@ import json
 import threading
 import time
 import uuid
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from socketserver import ThreadingMixIn
 from typing import Any, Callable, Iterable, Mapping
@@ -194,9 +194,11 @@ class NavigationApp:
     deprecated shims.  ``clock`` is injectable for tests.
 
     When the server's page-cache tier is on, ``GET`` responses assemble
-    from a cached audience-level skeleton plus the session's freshly
-    rendered breadcrumb fragment (see :mod:`repro.navigation.cache`);
-    the ``X-Repro-Cache`` response header reports ``hit``/``miss``/
+    from a cached audience-level skeleton plus the session's breadcrumb
+    fragment (see :mod:`repro.navigation.cache`), which
+    :func:`~repro.navigation.session.breadcrumb_fragment` joins from
+    memoized crumb markup — a hit builds no DOM and serializes nothing.
+    The ``X-Repro-Cache`` response header reports ``hit``/``miss``/
     ``bypass``/``off``, and sending ``X-Repro-Cache: bypass`` forces a
     full render through the session's own woven renderer.
     """
@@ -233,7 +235,12 @@ class NavigationApp:
         self._breadcrumb_limit = config.breadcrumb_limit
         self._clock = clock
         self._lock = threading.Lock()
-        self._sessions: dict[tuple[str, str], ServingSession] = {}
+        #: Live sessions, least recently touched first: every touch
+        #: (request, restore) moves its session to the end, so idle
+        #: eviction stops at the first session that is still fresh.
+        self._sessions: OrderedDict[tuple[str, str], ServingSession] = (
+            OrderedDict()
+        )
         self._evicted_total = 0
         #: Pages served by sessions since evicted (live counts add to it).
         self._served_by_evicted = 0
@@ -359,12 +366,12 @@ class NavigationApp:
             # Cached path: the skeleton is audience-level (rendered
             # through the audience's shared renderer, which no session
             # scope advises — nothing session-variant can leak into it)
-            # and the trail block is rendered fresh per request, then
-            # spliced over the skeleton's slot.  The epoch is snapshotted
-            # *before* the render: a weave mutation landing mid-render
-            # moves the audience to a newer epoch, so the skeleton we
-            # install stays keyed under the superseded one and no later
-            # request can hit it.
+            # and the trail block is assembled per request from the
+            # session's trail, then spliced over the skeleton's slot.
+            # The epoch is snapshotted *before* the render: a weave
+            # mutation landing mid-render moves the audience to a newer
+            # epoch, so the skeleton we install stays keyed under the
+            # superseded one and no later request can hit it.
             epoch = self._server.weave_epoch(audience)
             entry = cache.get(normalized, epoch)
             if entry is None:
@@ -427,8 +434,10 @@ class NavigationApp:
 
     def _session_for(self, environ, audience: str) -> tuple[ServingSession, bool]:
         sid = environ.get(SESSION_HEADER) or _cookie_sid(environ)
-        now = self._clock()
         with self._lock:
+            # Read inside the lock, so touches land in clock order and
+            # the dict's order stays the order of ``last_seen``.
+            now = self._clock()
             self._evict_idle_locked(now)
             minted = sid is None
             if minted:
@@ -442,6 +451,8 @@ class NavigationApp:
                         "session cookie or after the idle timeout"
                     )
                 session = self._open_session_locked(sid, audience, now)
+            else:
+                self._sessions.move_to_end((sid, audience))
             session.last_seen = now
             session.requests += 1
             return session, minted
@@ -469,13 +480,15 @@ class NavigationApp:
         self._served_by_evicted += session.requests
 
     def _evict_idle_locked(self, now: float) -> list[ServingSession]:
+        # Sessions are held least recently touched first, so the expired
+        # ones are a prefix: the scan costs O(expired), not O(live).
         if self._idle_timeout is None:
             return []
-        expired = [
-            session
-            for session in self._sessions.values()
-            if now - session.last_seen > self._idle_timeout
-        ]
+        expired = []
+        for session in self._sessions.values():
+            if now - session.last_seen <= self._idle_timeout:
+                break
+            expired.append(session)
         for session in expired:
             self._close_session_locked(session)
         return expired
@@ -530,8 +543,8 @@ class NavigationApp:
         unknown audience and :class:`SessionCapacityError` at the session
         cap — the HTTP surface maps them to 404/503 as usual.
         """
-        now = self._clock()
         with self._lock:
+            now = self._clock()
             self._evict_idle_locked(now)
             if record.audience not in self._server.audiences():
                 raise NavigationError(
@@ -550,6 +563,8 @@ class NavigationApp:
                     record.sid, record.audience, now
                 )
                 session.requests = record.requests
+            else:
+                self._sessions.move_to_end((record.sid, record.audience))
             session.last_seen = now
             session.trail.restore(record.trail)
             return session

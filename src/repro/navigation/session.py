@@ -17,6 +17,7 @@ audience from one live process each see only their own footsteps.
 
 from __future__ import annotations
 
+import functools
 import json
 import posixpath
 import threading
@@ -29,6 +30,8 @@ from repro.hypermedia.access import Anchor
 from repro.hypermedia.context import NavigationalContext
 from repro.hypermedia.nodes import Node
 from repro.hypermedia.schema import NavigationalSchema
+from repro.web import TRAIL_NAV_CLASS, anchor_list, site_relpath
+from repro.xmlcore import build, escape_attribute, escape_text
 
 from .errors import NavigationError
 from .history import History
@@ -236,24 +239,22 @@ class BreadcrumbTrail:
 
 
 def breadcrumb_nav(crumbs: "list[tuple[str, str]]", path: str):
-    """The trail ``<nav>`` for a page at *path*, given prior *crumbs*.
+    """The trail ``<nav>`` element for a page at *path*, given prior *crumbs*.
 
-    ``None`` when there is nothing to show (first visit).  One builder for
-    both trail producers — :class:`BreadcrumbAspect` appends the element
-    into the rendered tree, while the serving layer's cache-hit path
-    serializes it standalone as the per-request fragment — so the two can
-    never drift apart.
+    ``None`` when there is nothing to show (first visit).  The DOM
+    producer: :class:`BreadcrumbAspect` appends it into pages rendered
+    through a session's woven renderer (cache bypass, cache off).  The
+    cache-hit path never builds it — :func:`breadcrumb_fragment` writes
+    the same markup as a string, and must stay byte-identical to this
+    element serialized.
     """
     if not crumbs:
         return None
-    from repro.web import TRAIL_NAV_CLASS, anchor_list
-    from repro.xmlcore import build
-
-    directory = posixpath.dirname(path)
+    directory = posixpath.dirname(path) or "."
     anchors = [
         Anchor(
             label=title,
-            href=posixpath.relpath(crumb_path, directory or "."),
+            href=site_relpath(crumb_path, directory),
             rel="breadcrumb",
         )
         for crumb_path, title in crumbs
@@ -261,20 +262,37 @@ def breadcrumb_nav(crumbs: "list[tuple[str, str]]", path: str):
     return build("nav", {"class": TRAIL_NAV_CLASS}, anchor_list(anchors))
 
 
+#: Entries kept by the per-crumb markup memo (same bound, same reason as
+#: :data:`repro.web.html.RELPATH_MEMO_SIZE`).
+CRUMB_MEMO_SIZE = 1024
+
+_TRAIL_OPEN = f'<nav class="{escape_attribute(TRAIL_NAV_CLASS)}"><ul>'
+_TRAIL_CLOSE = "</ul></nav>"
+
+
+@functools.lru_cache(maxsize=CRUMB_MEMO_SIZE)
+def _crumb_markup(directory: str, crumb_path: str, title: str) -> str:
+    """One crumb's ``<li>``, as the serializer writes it under *directory*."""
+    href = escape_attribute(site_relpath(crumb_path, directory))
+    return f'<li><a href="{href}" rel="breadcrumb">{escape_text(title)}</a></li>'
+
+
 def breadcrumb_fragment(crumbs: "list[tuple[str, str]]", path: str) -> str:
-    """:func:`breadcrumb_nav` serialized compactly (``""`` when empty).
+    """``serialize(breadcrumb_nav(crumbs, path))`` built without a DOM.
 
     Exactly the fragment :meth:`~repro.web.html.HtmlPage.skeleton_html`
     lifts out of a rendered page, so skeleton-plus-fragment assembly
     produces the same bytes whether the fragment came from a live render
-    (cache miss) or straight from the session's trail (cache hit).
+    (bypass, off) or straight from the session's trail (hit, miss).  A
+    hit changes a trail by at most one entry, so each crumb's markup is
+    memoized on ``(page directory, crumb path, title)`` and a request
+    only joins strings.  ``""`` when *crumbs* is empty.
     """
-    nav = breadcrumb_nav(crumbs, path)
-    if nav is None:
+    if not crumbs:
         return ""
-    from repro.xmlcore import serialize
-
-    return serialize(nav)
+    directory = posixpath.dirname(path) or "."
+    items = [_crumb_markup(directory, crumb, title) for crumb, title in crumbs]
+    return _TRAIL_OPEN + "".join(items) + _TRAIL_CLOSE
 
 
 class BreadcrumbAspect(Aspect):

@@ -19,6 +19,7 @@ from .html import (
     nav_block,
     page_skeleton,
     paragraph,
+    site_relpath,
 )
 from .site import SiteProvider, StaticSite
 from .stylesheet import Stylesheet, TemplateRule, TransformContext
@@ -46,5 +47,6 @@ __all__ = [
     "nav_block",
     "page_skeleton",
     "paragraph",
+    "site_relpath",
     "unified_diff",
 ]

@@ -8,6 +8,8 @@ navigation anchors in one canonical shape: ``<a href rel>``.
 
 from __future__ import annotations
 
+import functools
+import posixpath
 from dataclasses import dataclass
 
 from repro.hypermedia.access import Anchor
@@ -23,6 +25,30 @@ TRAIL_NAV_CLASS = "breadcrumbs"
 TRAIL_SLOT = "<!--repro:trail-->"
 
 _CLASS_ATTR = qname("class")
+
+#: Entries kept by :func:`site_relpath`'s memo.  Fixed, so long-tail or
+#: hostile traffic (every request naming a new page) cannot grow the
+#: process: the least recently used pairs are dropped.  An entry costs
+#: ~0.3 KB; a long-tail catalog that cycles through more pairs than this
+#: loses no measurable throughput to the misses.
+RELPATH_MEMO_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=RELPATH_MEMO_SIZE)
+def site_relpath(path: str, start: str) -> str:
+    """The href from site directory *start* to site path *path*, memoized.
+
+    ``posixpath.relpath`` resolved at the site root instead of the
+    process's working directory: the same answer for every path that
+    stays inside the site, and for ``..`` or rooted paths one that no
+    longer depends on where the server was started.  The answer is then
+    a function of the arguments alone, so a bounded LRU memoizes it —
+    ``relpath`` calls ``abspath`` and ``os.getcwd()`` twice per call,
+    most of an href's cost on a hot render path.
+    """
+    if not path:
+        raise ValueError("no path specified")
+    return posixpath.relpath(posixpath.join("/", path), posixpath.join("/", start))
 
 
 def page_skeleton(title: str) -> tuple[Element, Element]:
@@ -82,9 +108,10 @@ def compose_page(skeleton: str, fragment: str) -> str:
 
     The inverse of :meth:`HtmlPage.skeleton_html`: the skeleton's
     :data:`TRAIL_SLOT` is replaced by the fragment (or removed when the
-    request has no trail to show).  Plain string surgery — this is the
-    serving hot path's entire per-request serialization cost on a cache
-    hit.
+    request has no trail to show).  Plain string surgery: the fragment
+    comes from :func:`repro.navigation.session.breadcrumb_fragment`,
+    which joins memoized crumb markup, so a cache hit builds no DOM and
+    serializes nothing.
     """
     return skeleton.replace(TRAIL_SLOT, fragment, 1)
 

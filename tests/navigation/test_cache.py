@@ -310,6 +310,12 @@ class TestOutcomeByteParity:
             ("PaintingNode/guernica.html", "Guernica"),
             ("index.html", "The Museum"),
         ),
+        # Titles the escapers must encode, non-ASCII text and an empty
+        # title, exactly as a restored session record may carry them.
+        "escaping-title": (
+            ("PaintingNode/guernica.html", 'R&D <"Guernica">\t\n\r déjà'),
+            ("index.html", ""),
+        ),
     }
 
     @staticmethod

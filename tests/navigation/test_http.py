@@ -283,6 +283,93 @@ class TestEviction:
             app.close()
 
 
+class TestEvictionOrder:
+    """Sessions are kept least recently touched first; eviction takes a prefix."""
+
+    @staticmethod
+    def _app(server, clock, **config):
+        return NavigationApp(
+            server,
+            ServingConfig(session_idle_timeout=100.0, **config),
+            clock=lambda: clock[0],
+        )
+
+    @staticmethod
+    def _sids(app):
+        return [session.sid for session in app.sessions()]
+
+    def test_oldest_sessions_are_evicted_first(self, fixture):
+        clock = [0.0]
+        with AudienceServer(fixture, VISITOR_CURATOR) as server:
+            app = self._app(server, clock)
+            for sid, at in (("a", 0.0), ("b", 50.0), ("c", 90.0)):
+                clock[0] = at
+                call(app, "/visitor/index.html", sid=sid)
+            assert self._sids(app) == ["a", "b", "c"]
+            clock[0] = 120.0
+            assert app.evict_idle() == 1
+            assert self._sids(app) == ["b", "c"]
+            clock[0] = 195.0
+            assert app.evict_idle() == 2
+            assert app.sessions() == []
+            app.close()
+
+    def test_a_touched_session_survives_an_older_idle_one(self, fixture):
+        clock = [0.0]
+        with AudienceServer(fixture, VISITOR_CURATOR) as server:
+            app = self._app(server, clock)
+            call(app, "/visitor/index.html", sid="a")
+            clock[0] = 10.0
+            call(app, "/visitor/index.html", sid="b")
+            clock[0] = 50.0
+            call(app, f"/visitor/{GUITAR}", sid="a")  # a is now the newest
+            assert self._sids(app) == ["b", "a"]
+            clock[0] = 115.0
+            assert app.evict_idle() == 1
+            assert self._sids(app) == ["a"]
+            _, _, text = call(app, "/visitor/index.html", sid="a")
+            assert "guitar.html" in text  # a kept its trail
+            app.close()
+
+    def test_a_restored_session_counts_as_touched(self, fixture):
+        clock = [0.0]
+        with AudienceServer(fixture, VISITOR_CURATOR) as server:
+            app = self._app(server, clock)
+            call(app, "/visitor/index.html", sid="a")
+            clock[0] = 10.0
+            call(app, "/visitor/index.html", sid="b")
+            clock[0] = 50.0
+            trail = ((GUITAR, "Guitar"),)
+            app.restore_session(SessionRecord(sid="a", audience="visitor", trail=trail))
+            assert self._sids(app) == ["b", "a"]
+            clock[0] = 115.0
+            assert app.evict_idle() == 1
+            (session,) = app.sessions()
+            assert session.sid == "a" and session.trail.entries() == list(trail)
+            app.close()
+
+    def test_capacity_frees_only_expired_slots(self, fixture):
+        clock = [0.0]
+        with AudienceServer(fixture, VISITOR_CURATOR) as server:
+            app = self._app(server, clock, max_sessions=2)
+            call(app, "/visitor/index.html", sid="a")
+            clock[0] = 60.0
+            call(app, "/visitor/index.html", sid="b")
+            clock[0] = 70.0
+            call(app, "/visitor/index.html", sid="a")  # order: b, a
+            clock[0] = 80.0
+            status, _, text = call(app, "/visitor/index.html", sid="c")
+            assert status == 503 and "cap" in text
+            # b (60) is idle past the timeout, a (70) is not: b's slot goes
+            # to c, and a stays live.
+            clock[0] = 165.0
+            assert call(app, "/visitor/index.html", sid="c")[0] == 200
+            assert self._sids(app) == ["a", "c"]
+            assert call(app, "/visitor/index.html", sid="d")[0] == 503
+            assert app.stats()["sessions"]["evicted_total"] == 1
+            app.close()
+
+
 class TestSessionsAreScopeMembers:
     """Opening and evicting a session never touches the weave."""
 

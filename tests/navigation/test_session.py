@@ -1,6 +1,11 @@
 """Tests for navigation sessions: the context-dependent semantics of §2."""
 
+import contextlib
+import os
+import posixpath
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.aop import InstanceScope, WeaverRuntime
 from repro.baselines import museum_fixture
@@ -12,6 +17,11 @@ from repro.navigation import (
     NavigationSession,
     SessionRecord,
 )
+from repro.navigation import session as session_module
+from repro.navigation.session import breadcrumb_fragment, breadcrumb_nav
+from repro.web import html as html_module
+from repro.web import site_relpath
+from repro.xmlcore import serialize
 
 
 @pytest.fixture()
@@ -241,3 +251,132 @@ class TestPerReceiverBreadcrumbs:
         aspect.unregister(renderer)
         aspect.unregister(renderer)  # idempotent
         assert aspect.trail_for(renderer) is None
+
+
+# -- the cache-hit trail fragment ---------------------------------------------
+
+_SEGMENTS = st.sampled_from(
+    ["PaintingNode", "rooms", "a", "b.c", "déjà", "x y", "R&D", 'say"<hi>\t']
+)
+_FILES = st.sampled_from(["index.html", "guitar.html", "a.html", "é.html"])
+
+
+@st.composite
+def _site_paths(draw):
+    """Site-relative page paths: at the root or up to three levels deep."""
+    directories = draw(st.lists(_SEGMENTS, max_size=3))
+    return "/".join([*directories, draw(_FILES)])
+
+
+# Markup-significant characters, whitespace the attribute escaper encodes,
+# non-ASCII text and the empty title.
+_TITLES = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(list('&<>"\t\n\r\'')), st.characters(), st.just("é")
+    ),
+    max_size=12,
+)
+
+
+class TestBreadcrumbFragment:
+    """The cache-hit fragment is the trail ``<nav>`` serialized, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        path=_site_paths(),
+        crumbs=st.lists(st.tuples(_site_paths(), _TITLES), max_size=6),
+    )
+    def test_fragment_is_the_serialized_nav(self, path, crumbs):
+        nav = breadcrumb_nav(crumbs, path)
+        expected = "" if nav is None else serialize(nav)
+        assert breadcrumb_fragment(crumbs, path) == expected
+        # A second call answers from the memo, with the same bytes.
+        assert breadcrumb_fragment(crumbs, path) == expected
+
+    @pytest.mark.parametrize(
+        "path, crumb, href",
+        [
+            ("index.html", "PaintingNode/guitar.html", "PaintingNode/guitar.html"),
+            ("PaintingNode/guitar.html", "index.html", "../index.html"),
+            ("PaintingNode/guitar.html", "PaintingNode/violin.html", "violin.html"),
+            ("PaintingNode/guitar.html", "rooms/a/b.html", "../rooms/a/b.html"),
+            ("a/b/c.html", "a/d.html", "../d.html"),
+        ],
+    )
+    def test_hrefs_above_below_and_beside_the_page(self, path, crumb, href):
+        fragment = breadcrumb_fragment([(crumb, "T & <U>")], path)
+        assert fragment == (
+            '<nav class="breadcrumbs"><ul><li>'
+            f'<a href="{href}" rel="breadcrumb">T &amp; &lt;U&gt;</a>'
+            "</li></ul></nav>"
+        )
+
+    def test_memos_are_bounded(self):
+        """Long-tail or hostile traffic cannot grow the memos past a fixed size."""
+        memos = (
+            (session_module._crumb_markup, session_module.CRUMB_MEMO_SIZE),
+            (site_relpath, html_module.RELPATH_MEMO_SIZE),
+        )
+        for memo, size in memos:
+            assert memo.cache_info().maxsize == size
+        flood = session_module.CRUMB_MEMO_SIZE + html_module.RELPATH_MEMO_SIZE
+        for i in range(flood):
+            breadcrumb_fragment([(f"hostile/{i}.html", f"t{i}")], "x/page.html")
+        for memo, size in memos:
+            assert memo.cache_info().currsize <= size
+
+
+_REL_PARTS = st.sampled_from(["a", "b", ".", "..", "", "c.html"])
+
+
+@st.composite
+def _any_paths(draw):
+    """Relative, rooted, ``.``/``..``-laden and empty-segment paths."""
+    path = "/".join(draw(st.lists(_REL_PARTS, min_size=1, max_size=4)))
+    return draw(st.sampled_from(["", "/"])) + path
+
+
+@contextlib.contextmanager
+def _cwd(directory):
+    previous = os.getcwd()
+    os.chdir(directory)
+    try:
+        yield
+    finally:
+        os.chdir(previous)
+
+
+class TestSiteRelpath:
+    """``site_relpath`` is ``posixpath.relpath`` resolved at the site root."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(path=_any_paths(), start=_any_paths())
+    def test_is_relpath_from_the_root_whatever_the_cwd(self, path, start):
+        # This file's directory: at least two levels deep, so ``..``
+        # resolves differently there than at the root.
+        deep = os.path.dirname(os.path.abspath(__file__))
+        with _cwd("/"):
+            try:
+                expected = posixpath.relpath(path, start)
+            except ValueError:
+                expected = ValueError
+        # Answer in the deep directory first, from an empty memo: a memo
+        # of plain ``relpath`` would then keep that directory's answer.
+        site_relpath.cache_clear()
+        for cwd in (deep, "/"):
+            with _cwd(cwd):
+                if expected is ValueError:
+                    with pytest.raises(ValueError):
+                        site_relpath(path, start)
+                else:
+                    assert site_relpath(path, start) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        path=_site_paths(), start=st.lists(_SEGMENTS, max_size=3).map("/".join)
+    )
+    def test_agrees_with_relpath_inside_the_site(self, path, start):
+        """Site paths never climb, so any working directory gives this answer."""
+        assert site_relpath(path, start or ".") == posixpath.relpath(
+            path, start or "."
+        )
